@@ -16,8 +16,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"sort"
@@ -46,7 +48,6 @@ func main() {
 		walDir    = flag.String("wal-dir", "", "write-ahead campaign log directory (crash-safe persistence of completed experiments)")
 		resume    = flag.Bool("resume", false, "with -wal-dir: merge experiments a previous (crashed) run logged and re-execute only the remainder")
 		noElide   = flag.Bool("no-elide", false, "disable the static masking tier (simulate every experiment instead of proving masked bits)")
-		noBatch   = flag.Bool("no-batch", false, "disable lockstep batch replay (run every faulty replica as a scalar fork)")
 		sharedDir = flag.String("shared-store", "", "directory of the shared content-addressed outcome tier (sections analyzed by any process using the same directory are reused, fresh ones published back)")
 		tenant    = flag.String("tenant", "cli", "tenant name attributed in the shared store (with -shared-store)")
 		hardenOn  = flag.Bool("harden", false, "apply the knapsack selection as duplication-and-compare detectors, re-inject the hardened program, and report the measured residual SDC against the predicted bound")
@@ -64,7 +65,6 @@ func main() {
 	cfg.WALDir = *walDir
 	cfg.Resume = *resume
 	cfg.Elide = !*noElide
-	cfg.NoBatch = *noBatch
 	if *resume && *walDir == "" {
 		log.Fatal("-resume requires -wal-dir")
 	}
@@ -84,11 +84,9 @@ func main() {
 			if !*jsonOut {
 				fmt.Printf("loaded store %s (%d sections)\n", *storePath, len(st.Sections))
 			}
-		} else if !os.IsNotExist(err) {
+		} else if !errors.Is(err, fs.ErrNotExist) {
 			// A missing store is the first-run case; anything else is real.
-			if !strings.Contains(err.Error(), "no such file") {
-				log.Fatal(err)
-			}
+			log.Fatal(err)
 		}
 	}
 

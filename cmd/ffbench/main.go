@@ -15,16 +15,33 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"fastflip/internal/sens"
 	"fastflip/internal/tables"
 )
 
+// artifacts are the valid -artifact names.
+var artifacts = []string{"all", "table1", "table2", "table3", "table4", "table6.4", "figure1", "eq2"}
+
+// checkArtifact rejects an -artifact name the suite cannot print: an
+// unknown name, or eq2/figure1 (which are computed on lud) when the
+// benchmark subset leaves lud out. An empty subset means all benchmarks.
+func checkArtifact(artifact string, benchmarks []string) error {
+	if !slices.Contains(artifacts, artifact) {
+		return fmt.Errorf("unknown -artifact %q (one of: %s)", artifact, strings.Join(artifacts, ", "))
+	}
+	if (artifact == "eq2" || artifact == "figure1") && len(benchmarks) > 0 && !slices.Contains(benchmarks, "lud") {
+		return fmt.Errorf("-artifact %s needs lud in -benchmarks", artifact)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		benchmarks = flag.String("benchmarks", "", "comma-separated benchmark subset (default all)")
-		artifact   = flag.String("artifact", "all", "one of: all, table1, table2, table3, table4, table6.4, figure1, eq2")
+		artifact   = flag.String("artifact", "all", "one of: "+strings.Join(artifacts, ", "))
 		workers    = flag.Int("workers", 0, "injection worker goroutines (0 = GOMAXPROCS)")
 		quick      = flag.Bool("quick", false, "fewer sensitivity samples for a faster run")
 		quiet      = flag.Bool("quiet", false, "suppress per-version progress lines")
@@ -32,7 +49,6 @@ func main() {
 		walDir     = flag.String("wal-dir", "", "write-ahead campaign log directory (crash-safe persistence of completed experiments)")
 		resume     = flag.Bool("resume", false, "with -wal-dir: merge experiments a previous (crashed) run logged and re-execute only the remainder")
 		noElide    = flag.Bool("no-elide", false, "disable the static masking tier (simulate every experiment instead of proving masked bits)")
-		noBatch    = flag.Bool("no-batch", false, "disable lockstep batch replay (run every faulty replica as a scalar fork)")
 	)
 	flag.Parse()
 
@@ -46,9 +62,12 @@ func main() {
 	opts.WALDir = *walDir
 	opts.Resume = *resume
 	opts.NoElide = *noElide
-	opts.NoBatch = *noBatch
 	if *benchmarks != "" {
 		opts.Benchmarks = strings.Split(*benchmarks, ",")
+	}
+	if err := checkArtifact(*artifact, opts.Benchmarks); err != nil {
+		fmt.Fprintln(os.Stderr, "ffbench:", err)
+		os.Exit(2)
 	}
 	if *quick {
 		cfg := sens.DefaultConfig()

@@ -70,7 +70,6 @@ func main() {
 		workerID = flag.String("worker-id", "", "worker identity reported to coordinators (default worker-<pid>)")
 		peers    = flag.String("peers", "", "comma-separated worker base URLs; turns this daemon into a campaign coordinator")
 		noElide  = flag.Bool("no-elide", false, "disable the static masking tier for every job (simulate all experiments)")
-		noBatch  = flag.Bool("no-batch", false, "disable lockstep batch replay for every job (scalar forks only)")
 		shared   = flag.String("shared-store", "", "directory of the shared content-addressed outcome tier; several ffserved processes may point at the same directory")
 		sharedQ  = flag.Int64("shared-quota", 0, "per-tenant live byte quota in the shared store, oldest sections evicted beyond it (0 = unlimited)")
 		tenantQ  = flag.Int("tenant-jobs", 0, "per-tenant active-job quota, submissions beyond it get 429 (0 = unlimited)")
@@ -149,7 +148,6 @@ func main() {
 		MaxTenantActive:  *tenantQ,
 		ConfigHook: func(cfg *core.Config) {
 			cfg.Elide = !*noElide
-			cfg.NoBatch = *noBatch
 		},
 	})
 	handler := server.New(mgr, log.Default())

@@ -572,7 +572,7 @@ func (c *Coordinator) injectSection(ctx context.Context, benchName, variant stri
 		hooks := job.Hooks
 		hooks.Skip = skip
 		hooks.Range = nil
-		inj := &inject.Injector{T: job.Trace, Workers: job.Config.Workers, Legacy: job.Config.LegacyReplay, NoBatch: job.Config.NoBatch}
+		inj := &inject.Injector{T: job.Trace, Workers: job.Config.Workers, Legacy: job.Config.LegacyReplay}
 		var outs, fins []metrics.Outcome
 		var stats inject.Stats
 		if job.CoRun {

@@ -36,13 +36,6 @@ func startWorker(t *testing.T, id string) *httptest.Server {
 func neutralize(s *core.Summary) {
 	s.FFWall = 0
 	s.FFCleanInstrs, s.FFFaultyInstrs = 0, 0
-	// Batch telemetry describes how the engine executed, not what it
-	// found (the same exclusion resume equivalence applies): lease
-	// boundaries under the completion-driven scheduler depend on shard
-	// timing, and a range cut mid-group regroups the remainder into
-	// different batch dispatches. Outcomes and accounted costs are
-	// boundary-invariant and must survive untouched.
-	s.BatchedExperiments, s.BatchReplicasAvg = 0, 0
 	s.ResumedExperiments = 0
 	s.WALNotes = nil
 	s.RemoteExperiments = 0

@@ -32,7 +32,6 @@ type ShardConfig struct {
 	CoRun              bool    `json:"co_run"`
 	LegacyReplay       bool    `json:"legacy_replay"`
 	Elide              bool    `json:"elide"`
-	NoBatch            bool    `json:"no_batch"`
 	StrictReuseKeys    bool    `json:"strict_reuse_keys"`
 	CheckpointInterval int64   `json:"checkpoint_interval"`
 	SensSamples        int     `json:"sens_samples"`
@@ -48,7 +47,6 @@ func shardConfig(cfg core.Config) ShardConfig {
 		CoRun:              cfg.CoRunBaseline,
 		LegacyReplay:       cfg.LegacyReplay,
 		Elide:              cfg.Elide,
-		NoBatch:            cfg.NoBatch,
 		StrictReuseKeys:    cfg.StrictReuseKeys,
 		CheckpointInterval: cfg.CheckpointInterval,
 		SensSamples:        cfg.Sens.Samples,
@@ -67,7 +65,6 @@ func (sc ShardConfig) analysisConfig(workers int) core.Config {
 		CoRunBaseline:      sc.CoRun,
 		LegacyReplay:       sc.LegacyReplay,
 		Elide:              sc.Elide,
-		NoBatch:            sc.NoBatch,
 		StrictReuseKeys:    sc.StrictReuseKeys,
 		CheckpointInterval: sc.CheckpointInterval,
 		Sens:               sens.Config{Samples: sc.SensSamples, PhiMax: sc.SensPhiMax, Seed: sc.SensSeed},

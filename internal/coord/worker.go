@@ -237,7 +237,7 @@ func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 		},
 	}
 
-	inj := &inject.Injector{T: t, Workers: cfg.Workers, Legacy: cfg.LegacyReplay, NoBatch: cfg.NoBatch}
+	inj := &inject.Injector{T: t, Workers: cfg.Workers, Legacy: cfg.LegacyReplay}
 	if cfg.CoRunBaseline {
 		_, _, _ = inj.RunSectionCoRunResume(ctx, inst, classes, hooks)
 	} else {

@@ -94,11 +94,6 @@ type Config struct {
 	// work shrinks. Part of the campaign fingerprint because recovered
 	// records carry elision cost shares.
 	Elide bool
-	// NoBatch disables the lockstep batch replay tier: same-dyn experiment
-	// groups then fork one scalar machine each. Outcomes and accounted
-	// costs are identical either way (the escape hatch / equivalence seam);
-	// excluded from the campaign fingerprint.
-	NoBatch bool
 	// WALDir, when non-empty, enables the write-ahead campaign log: every
 	// completed experiment is appended to a per-section segment under
 	// <WALDir>/<program>/ before the campaign proceeds, so a crashed
@@ -260,10 +255,6 @@ type Progress struct {
 	// their accounted-but-never-simulated cost (included in SimInstrs).
 	ElidedExperiments int    `json:"elided_experiments"`
 	ElidedInstrs      uint64 `json:"elided_sim_instrs"`
-	// Batches/BatchExperiments describe the lockstep replay tier: how many
-	// batch dispatch groups ran and how many experiments they covered.
-	Batches          int `json:"batches"`
-	BatchExperiments int `json:"batch_experiments"`
 	// WALDegraded reports that the campaign's write-ahead log latched off
 	// after a persistent write failure; the analysis continues memory-only.
 	WALDegraded bool `json:"wal_degraded,omitempty"`
@@ -315,7 +306,7 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 		SiteCount:   sites.Count(t, siteOpts),
 		untestedBad: make(map[prog.StaticID]int),
 	}
-	inj := &inject.Injector{T: t, Workers: a.Cfg.Workers, Legacy: a.Cfg.LegacyReplay, NoBatch: a.Cfg.NoBatch, PanicHook: a.Cfg.ExperimentPanicHook}
+	inj := &inject.Injector{T: t, Workers: a.Cfg.Workers, Legacy: a.Cfg.LegacyReplay, PanicHook: a.Cfg.ExperimentPanicHook}
 
 	var cam *campaign
 	if a.Cfg.WALDir != "" {
@@ -348,8 +339,6 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, p *spec.Program) (*Result
 				ResumedExperiments: r.FFRecovered.Experiments,
 				ElidedExperiments:  r.FFInject.ElidedExperiments,
 				ElidedInstrs:       r.FFInject.ElidedInstrs,
-				Batches:            r.FFInject.Batches,
-				BatchExperiments:   r.FFInject.BatchExperiments,
 				WALDegraded:        cam.wasDegraded(),
 				Poisoned:           len(inj.Poisoned()),
 			})
@@ -603,7 +592,7 @@ func (a *Analyzer) RunBaseline(r *Result) {
 // baseline results, and ctx.Err() is returned.
 func (a *Analyzer) RunBaselineContext(ctx context.Context, r *Result) error {
 	started := time.Now()
-	inj := &inject.Injector{T: r.Trace, Workers: a.Cfg.Workers, Legacy: a.Cfg.LegacyReplay, NoBatch: a.Cfg.NoBatch}
+	inj := &inject.Injector{T: r.Trace, Workers: a.Cfg.Workers, Legacy: a.Cfg.LegacyReplay}
 	siteOpts := sites.Options{Prune: a.Cfg.Prune, Width: a.Cfg.BurstWidth}
 	if a.Cfg.Elide {
 		siteOpts.Masks = maskelide.Analyze(r.Trace.Prog.Linked)

@@ -28,16 +28,11 @@ import (
 func neutralizeEngineWork(s *Summary) {
 	s.FFWall = 0
 	s.FFCleanInstrs, s.FFFaultyInstrs = 0, 0
-	// Batch telemetry describes how the engine executed, not what it
-	// found: chaos-instrumented runs fall back to scalar forks and resumed
-	// runs regroup only the remainder.
-	s.BatchedExperiments, s.BatchReplicasAvg = 0, 0
 	s.ResumedExperiments = 0
 	s.WALNotes = nil
 	if s.Baseline != nil {
 		s.Baseline.Wall = 0
 		s.Baseline.CleanInstrs, s.Baseline.FaultyInstrs = 0, 0
-		s.Baseline.BatchedExperiments = 0
 	}
 }
 

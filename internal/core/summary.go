@@ -44,14 +44,13 @@ type Summary struct {
 	// experiments = FFExperiments − ElidedExperiments.
 	ElidedExperiments int    `json:"elided_experiments,omitempty"`
 	ElidedSimInstrs   uint64 `json:"elided_sim_instrs,omitempty"`
-	// BatchedExperiments counts experiments whose faulty suffix ran inside
-	// a lockstep batch replica (included in FFExperiments); outcomes and
-	// accounted costs are identical to scalar runs. BatchReplicasAvg is the
-	// mean batch width of this process's batch dispatches; unlike the
-	// counters above it is engine telemetry, not WAL-persisted, so a
-	// resumed campaign reports only its own batches.
-	BatchedExperiments int     `json:"batched_experiments,omitempty"`
-	BatchReplicasAvg   float64 `json:"batch_replicas_avg,omitempty"`
+	// Deprecated: BatchedExperiments is always zero, and so absent from
+	// JSON. It counted experiments run by the lockstep batch tier, which
+	// has been removed; it stays only because the benchmark module
+	// (perfbench) still reads it.
+	BatchedExperiments int `json:"batched_experiments,omitempty"`
+	// Deprecated: BatchReplicasAvg is always zero, like BatchedExperiments.
+	BatchReplicasAvg float64 `json:"batch_replicas_avg,omitempty"`
 
 	// ResumedExperiments counts experiments recovered from a write-ahead
 	// campaign log instead of re-executed (included in FFExperiments).
@@ -135,10 +134,12 @@ type BaselineSummary struct {
 	CleanInstrs  uint64        `json:"clean_instrs"`
 	FaultyInstrs uint64        `json:"faulty_instrs"`
 	Wall         time.Duration `json:"wall_ns"`
-	// Elision/batching telemetry, as in the FastFlip figures above.
-	ElidedExperiments  int    `json:"elided_experiments,omitempty"`
-	ElidedSimInstrs    uint64 `json:"elided_sim_instrs,omitempty"`
-	BatchedExperiments int    `json:"batched_experiments,omitempty"`
+	// Elision telemetry, as in the FastFlip figures above.
+	ElidedExperiments int    `json:"elided_experiments,omitempty"`
+	ElidedSimInstrs   uint64 `json:"elided_sim_instrs,omitempty"`
+	// Deprecated: BatchedExperiments is always zero, as in Summary; it
+	// stays only because the benchmark module (perfbench) still reads it.
+	BatchedExperiments int `json:"batched_experiments,omitempty"`
 	// Speedup is baseline cost over FastFlip cost (the paper's headline
 	// ratio).
 	Speedup float64 `json:"speedup"`
@@ -182,10 +183,6 @@ func (r *Result) Summarize(eps float64, evals []TargetEval) *Summary {
 	}
 	s.ElidedExperiments = r.FFInject.ElidedExperiments
 	s.ElidedSimInstrs = r.FFInject.ElidedInstrs
-	s.BatchedExperiments = r.FFInject.BatchExperiments
-	if r.FFInject.Batches > 0 {
-		s.BatchReplicasAvg = float64(r.FFInject.BatchExperiments) / float64(r.FFInject.Batches)
-	}
 	s.ResumedExperiments = r.FFRecovered.Experiments
 	s.WALNotes = append([]string(nil), r.WALNotes...)
 	s.WALDegraded = r.WALDegraded
@@ -204,14 +201,13 @@ func (r *Result) Summarize(eps float64, evals []TargetEval) *Summary {
 	}
 	if len(r.baseClasses) > 0 {
 		b := &BaselineSummary{
-			Experiments:        r.BaseInject.Experiments,
-			SimInstrs:          r.BaseCost(),
-			CleanInstrs:        r.BaseInject.CleanInstrs,
-			FaultyInstrs:       r.BaseInject.FaultyInstrs,
-			Wall:               r.BaseWall,
-			ElidedExperiments:  r.BaseInject.ElidedExperiments,
-			ElidedSimInstrs:    r.BaseInject.ElidedInstrs,
-			BatchedExperiments: r.BaseInject.BatchExperiments,
+			Experiments:       r.BaseInject.Experiments,
+			SimInstrs:         r.BaseCost(),
+			CleanInstrs:       r.BaseInject.CleanInstrs,
+			FaultyInstrs:      r.BaseInject.FaultyInstrs,
+			Wall:              r.BaseWall,
+			ElidedExperiments: r.BaseInject.ElidedExperiments,
+			ElidedSimInstrs:   r.BaseInject.ElidedInstrs,
 		}
 		if ff := r.FFCost(); ff > 0 {
 			b.Speedup = float64(r.BaseCost()) / float64(ff)

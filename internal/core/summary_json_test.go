@@ -31,8 +31,6 @@ func fullSummary() *Summary {
 		FFFaultyInstrs:     2222,
 		ElidedExperiments:  96,
 		ElidedSimInstrs:    48000,
-		BatchedExperiments: 1800,
-		BatchReplicasAvg:   112.5,
 		ResumedExperiments: 512,
 		WALNotes:           []string{"torn tail truncated (17 bytes)", "lock conflict on k3"},
 		WALDegraded:        true,
@@ -56,15 +54,14 @@ func fullSummary() *Summary {
 		HardenedAsm:        "func main {\n    halt\n}\n",
 		Outcomes:           OutcomeStats{Masked: 1000, Detected: 500, SDCGood: 300, SDCBad: 200, Untested: 48},
 		Baseline: &BaselineSummary{
-			Experiments:        4096,
-			SimInstrs:          5000000,
-			CleanInstrs:        4000,
-			FaultyInstrs:       5000,
-			Wall:               9 * time.Second,
-			ElidedExperiments:  128,
-			ElidedSimInstrs:    64000,
-			BatchedExperiments: 3900,
-			Speedup:            3.2,
+			Experiments:       4096,
+			SimInstrs:         5000000,
+			CleanInstrs:       4000,
+			FaultyInstrs:      5000,
+			Wall:              9 * time.Second,
+			ElidedExperiments: 128,
+			ElidedSimInstrs:   64000,
+			Speedup:           3.2,
 		},
 		Targets: []TargetSummary{{
 			Target:       0.95,

@@ -98,9 +98,6 @@ func TestMaskHeavySeedElides(t *testing.T) {
 	if s.ElidedExperiments == 0 {
 		t.Error("masking tier elided nothing on the mask-heavy kernel")
 	}
-	if s.BatchedExperiments == 0 {
-		t.Error("no experiments ran in lockstep batches")
-	}
 	if v := CheckEngines(g); v != nil {
 		t.Fatal(v)
 	}

@@ -348,18 +348,17 @@ func CheckResume(g *Prog, walDir string) *Violation {
 }
 
 // engineConfigs is the replay-engine matrix the engines invariant sweeps:
-// the default batched cursor engine with static-masking elision, the same
-// engine with each tier disabled, and the legacy full-restore engine. All
-// four must agree experiment by experiment. Exhaustive disables elision,
-// so its accounted costs legitimately differ (see neutralizeElision).
+// the default cursor engine with static-masking elision, the same engine
+// with elision disabled, and the legacy full-restore engine. All three
+// must agree experiment by experiment. Exhaustive disables elision, so its
+// accounted costs legitimately differ (see neutralizeElision).
 var engineConfigs = []struct {
 	name       string
 	exhaustive bool
 	mut        func(*core.Config)
 }{
-	{name: "cursor-batch", mut: func(*core.Config) {}},
-	{name: "cursor-scalar", mut: func(c *core.Config) { c.NoBatch = true }},
-	{name: "cursor-exhaustive", exhaustive: true, mut: func(c *core.Config) { c.Elide = false; c.NoBatch = true }},
+	{name: "cursor", mut: func(*core.Config) {}},
+	{name: "cursor-exhaustive", exhaustive: true, mut: func(c *core.Config) { c.Elide = false }},
 	{name: "legacy", mut: func(c *core.Config) {
 		c.LegacyReplay = true
 		c.CheckpointInterval = -1
@@ -367,9 +366,9 @@ var engineConfigs = []struct {
 }
 
 // CheckEngines verifies invariant 4 over the full engine matrix: the
-// legacy full-restore engine, the clean-cursor engine with and without
-// lockstep batching, and the exhaustive configuration with the static
-// masking tier disabled all agree on every per-class outcome, on the
+// legacy full-restore engine, the clean-cursor engine, and the clean-cursor
+// engine with the static masking tier disabled (exhaustive) all agree on
+// every per-class outcome, on the
 // work-neutralized summary, and on the rendered end-to-end specification.
 // Exhaustive agreement is the elision tier's correctness claim: every
 // experiment the masking proof skipped really is Masked when simulated.
@@ -491,20 +490,16 @@ func compareOutcomes(inv Invariant, g *Prog, e *Edit, want, got *core.Result, wa
 }
 
 // neutralizeWork zeroes summary fields that legitimately differ between
-// two runs of the same analysis: wall time, the engine work split, batch
-// dispatch telemetry (how the experiments were grouped, not what they
-// found), and resume/WAL bookkeeping. Outcome counts and accounted costs
-// survive.
+// two runs of the same analysis: wall time, the engine work split, and
+// resume/WAL bookkeeping. Outcome counts and accounted costs survive.
 func neutralizeWork(s *core.Summary) {
 	s.FFWall = 0
 	s.FFCleanInstrs, s.FFFaultyInstrs = 0, 0
-	s.BatchedExperiments, s.BatchReplicasAvg = 0, 0
 	s.ResumedExperiments = 0
 	s.WALNotes = nil
 	if s.Baseline != nil {
 		s.Baseline.Wall = 0
 		s.Baseline.CleanInstrs, s.Baseline.FaultyInstrs = 0, 0
-		s.Baseline.BatchedExperiments = 0
 	}
 }
 

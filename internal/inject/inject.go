@@ -64,14 +64,10 @@ type Stats struct {
 	// elided experiments contribute zero CleanInstrs/FaultyInstrs.
 	ElidedExperiments int
 	ElidedInstrs      uint64
-	// BatchExperiments counts experiments whose faulty suffix ran inside a
-	// lockstep vm.Batch (included in Experiments; outcomes and accounted
-	// costs are identical to scalar runs). Batches counts the batch
-	// dispatch groups; BatchExperiments/Batches is the mean batch width.
-	// Batches is engine telemetry attributed at group granularity, so it is
-	// the one Stats field per-experiment cost shares do not sum to.
+	// Deprecated: BatchExperiments is always zero. It counted experiments
+	// run by the lockstep batch tier, which has been removed; the field
+	// stays only because the benchmark module (perfbench) still reads it.
 	BatchExperiments int
-	Batches          int
 }
 
 // Add accumulates other into s.
@@ -82,8 +78,6 @@ func (s *Stats) Add(other Stats) {
 	s.FaultyInstrs += other.FaultyInstrs
 	s.ElidedExperiments += other.ElidedExperiments
 	s.ElidedInstrs += other.ElidedInstrs
-	s.BatchExperiments += other.BatchExperiments
-	s.Batches += other.Batches
 }
 
 // Injector runs experiments against one recorded trace.
@@ -97,11 +91,6 @@ type Injector struct {
 	// Outcomes are identical; only the engine cost differs. Kept for
 	// equivalence tests and engine benchmarks.
 	Legacy bool
-	// NoBatch disables the lockstep batch tier: dense same-dyn experiment
-	// groups then run one scalar fork each instead of sharing a vm.Batch.
-	// Outcomes and accounted costs are identical either way; this is the
-	// escape hatch and equivalence-testing seam.
-	NoBatch bool
 	// PanicHook, when non-nil, is invoked at the start of every experiment
 	// attempt with the class index and the 1-based attempt number. It is a
 	// test seam: chaos tests panic from it to exercise the supervision
@@ -558,26 +547,6 @@ func siteOf(c *sites.Class) sites.Site {
 	}
 }
 
-// batchFlip injects site's burst into replica k of a batch, the replica
-// counterpart of applyFlip's bit loop.
-func batchFlip(b *vm.Batch, k int, site sites.Site) {
-	width := int(site.Width)
-	if width < 1 {
-		width = 1
-	}
-	for off := 0; off < width; off++ {
-		bit := uint(site.Bit) + uint(off)
-		if bit >= 64 {
-			break
-		}
-		if site.Operand.Class == isa.RegFloat {
-			b.FlipFloat(k, int(site.Operand.Reg), bit)
-		} else {
-			b.FlipInt(k, int(site.Operand.Reg), bit)
-		}
-	}
-}
-
 // elidePass resolves the classes whose pilot flip the static masking tier
 // proved dead (sites.Class.Elided) without simulating anything: the faulty
 // architectural state is bit-identical to the clean run by construction, so
@@ -682,9 +651,10 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 	cur := seed.Clone() // rolling clean cursor, only ever advances
 	em := cur.Clone()   // experiment machine, forked from the cursor
 
-	// runScalar runs one experiment on a scalar fork of the cursor,
-	// including supervision, retry, and record delivery.
-	runScalar := func(i int) {
+	for _, i := range chunk {
+		if ctx.Err() != nil {
+			break
+		}
 		site := siteOf(classes[i])
 
 		// Per-experiment cost share; the cursor advance is attributed to the
@@ -769,147 +739,6 @@ func (inj *Injector) runRange(ctx context.Context, classes []*sites.Class, chunk
 		stats.Add(expStats)
 		if !poisoned && exp.hooks.Record != nil {
 			exp.hooks.Record(i, outcomes[i], nil, expStats)
-		}
-	}
-
-	// runBatch advances a same-dyn group of experiments in one lockstep
-	// vm.Batch: the clean prefix is advanced once, each replica gets its
-	// flip, and one dispatch per opcode drives every faulty suffix until
-	// it detaches (crash, control divergence) or the batch reaches a
-	// stop-before boundary; each replica is then materialized onto the
-	// fork machine and classified by the exact scalar epilogue. Outcomes
-	// and accounted costs are identical to forking the group one by one —
-	// batching changes wall clock only.
-	//
-	// Each replica is accounted and recorded as it materializes, with a
-	// cancellation check in between, so the campaign keeps the scalar
-	// engine's per-experiment delivery granularity. A panic anywhere
-	// inside rebuilds the machines and re-runs only the not-yet-delivered
-	// members under the scalar path's per-class supervision, so the WAL
-	// sees each member exactly once.
-	runBatch := func(group []int) {
-		pilotDyn := classes[group[0]].Pilot()
-		var cleanShare uint64
-		if pilotDyn > cur.Dyn {
-			cleanShare = pilotDyn - cur.Dyn
-		}
-		delivered := 0
-		_, rec := runSupervised(func() *vm.Machine { return em }, func() Stats {
-			if pilotDyn > cur.Dyn {
-				cur.BeginJournal()
-				if ev := cur.RunUntilDyn(pilotDyn); ev.Kind != vm.EvNone {
-					panic(fmt.Errorf("inject: clean cursor to dyn %d ended with %v", pilotDyn, ev.Kind))
-				}
-				if cur.ReplayJournalInto(em) {
-					em.CopyScalarsFrom(cur)
-				} else {
-					em.RestoreFrom(cur)
-				}
-				cur.EndJournal()
-			}
-
-			// Source flips land before the site instruction. If any
-			// replica flips a destination, the batch executes the site
-			// instruction once — clean for those replicas, already faulty
-			// for source-flipped ones — and the destination flips land
-			// after it, the same order applyFlip imposes.
-			em.MaxDyn = exp.limit(siteOf(classes[group[0]]))
-			b := vm.NewBatch(em, len(group))
-			hasDst := false
-			for j, i := range group {
-				site := siteOf(classes[i])
-				if site.Operand.Role == isa.OperandDst {
-					hasDst = true
-					continue
-				}
-				batchFlip(b, j, site)
-			}
-			if hasDst {
-				if !b.Step() {
-					panic(fmt.Errorf("inject: batch at dyn %d stopped before the site instruction", pilotDyn))
-				}
-				for j, i := range group {
-					site := siteOf(classes[i])
-					if site.Operand.Role == isa.OperandDst {
-						batchFlip(b, j, site)
-					}
-				}
-			}
-			b.Run()
-			stats.Batches++
-
-			for j, i := range group {
-				if ctx.Err() != nil {
-					break
-				}
-				site := siteOf(classes[i])
-				em.MaxDyn = exp.limit(site)
-				em.BeginJournal()
-				b.MaterializeInto(j, em)
-				out := exp.finish(em, i, site)
-				flipDyn := site.Dyn
-				if site.Operand.Role == isa.OperandDst {
-					flipDyn++
-				}
-				cost := Stats{Experiments: 1, BatchExperiments: 1}
-				cost.SimInstrs = em.Dyn - t.NearestCheckpointDyn(site.Dyn)
-				if j == 0 {
-					cost.CleanInstrs = cleanShare
-				}
-				cost.CleanInstrs += flipDyn - site.Dyn
-				cost.FaultyInstrs = em.Dyn - flipDyn
-				if em.UndoJournal() {
-					em.CopyScalarsFrom(cur)
-				} else {
-					em.RestoreFrom(cur)
-				}
-				outcomes[i] = out
-				stats.Add(cost)
-				delivered = j + 1
-				if exp.hooks.Record != nil {
-					exp.hooks.Record(i, out, nil, cost)
-				}
-			}
-			return Stats{}
-		})
-		if rec == nil {
-			return
-		}
-		seed, _ := t.ReplaySeed(pilotDyn)
-		cur = seed.Clone()
-		em = cur.Clone()
-		inj.notePanicRetry()
-		for _, i := range group[delivered:] {
-			if ctx.Err() != nil {
-				break
-			}
-			runScalar(i)
-		}
-	}
-
-	// The chunk is dyn-sorted, so experiments sharing a pilot dynamic
-	// index — the dense same-range groups the batch tier targets — are
-	// consecutive. PanicHook (the chaos-test seam) forces the scalar path
-	// so attempt-targeted panics keep their per-class semantics.
-	for gi := 0; gi < len(chunk); {
-		ge := gi + 1
-		for ge < len(chunk) && classes[chunk[ge]].Pilot() == classes[chunk[gi]].Pilot() {
-			ge++
-		}
-		group := chunk[gi:ge]
-		gi = ge
-		if ctx.Err() != nil {
-			break
-		}
-		if len(group) >= 2 && !inj.NoBatch && inj.PanicHook == nil {
-			runBatch(group)
-			continue
-		}
-		for _, i := range group {
-			if ctx.Err() != nil {
-				break
-			}
-			runScalar(i)
 		}
 	}
 	return stats

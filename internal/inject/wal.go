@@ -644,16 +644,13 @@ func appendExperimentPayload(buf []byte, rec WALRecord) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, rec.Cost.SimInstrs)
 	buf = binary.LittleEndian.AppendUint64(buf, rec.Cost.CleanInstrs)
 	buf = binary.LittleEndian.AppendUint64(buf, rec.Cost.FaultyInstrs)
-	// v2: how the experiment was executed. Elision and batching are
-	// outcome-neutral, but a resumed campaign must re-account recovered
-	// records at their original cost shares so merged summaries stay
-	// identical to an uninterrupted run.
+	// v2: how the experiment was executed. Elision is outcome-neutral,
+	// but a resumed campaign must re-account recovered records at their
+	// original cost shares so merged summaries stay identical to an
+	// uninterrupted run.
 	var flags byte
 	if rec.Cost.ElidedExperiments > 0 {
 		flags |= walFlagElided
-	}
-	if rec.Cost.BatchExperiments > 0 {
-		flags |= walFlagBatched
 	}
 	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint64(buf, rec.Cost.ElidedInstrs)
@@ -661,6 +658,12 @@ func appendExperimentPayload(buf []byte, rec WALRecord) []byte {
 }
 
 // Experiment-record execution flags (WAL format v2).
+//
+// Bit 1 (walFlagBatched) is retired and read-only: writers up to the
+// removal of the lockstep batch tier set it on experiments whose faulty
+// suffix ran in a batch replica. Nothing sets it any more; readers still
+// accept it from older segments and shard streams and ignore it, because
+// batching never changed an outcome or a cost share.
 const (
 	walFlagElided  = byte(1 << 0)
 	walFlagBatched = byte(1 << 1)
@@ -755,9 +758,6 @@ func parseExperimentPayload(body []byte) (WALRecord, error) {
 	}
 	if flags&walFlagElided != 0 {
 		rec.Cost.ElidedExperiments = 1
-	}
-	if flags&walFlagBatched != 0 {
-		rec.Cost.BatchExperiments = 1
 	}
 	if len(r.b) != 0 {
 		return rec, errWALShort

@@ -166,14 +166,6 @@ func TestSubmitPollResult(t *testing.T) {
 	if metricsAfter.StoreSections == 0 {
 		t.Error("store_sections still zero after a completed job")
 	}
-	// The default config batches same-site experiments; the pipe fixture's
-	// classes all batch, so the counters and the derived mean width move.
-	if metricsAfter.BatchedExperiments == metricsBefore.BatchedExperiments {
-		t.Error("batched_experiments did not move")
-	}
-	if metricsAfter.BatchReplicasAvg <= 0 {
-		t.Errorf("batch_replicas_avg = %v, want > 0", metricsAfter.BatchReplicasAvg)
-	}
 }
 
 func TestStoreCacheAcrossRequests(t *testing.T) {

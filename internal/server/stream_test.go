@@ -358,7 +358,6 @@ func neutralJSON(t *testing.T, s *core.Summary) string {
 	c.FFExperiments, c.FFSimInstrs, c.FFWall = 0, 0, 0
 	c.FFCleanInstrs, c.FFFaultyInstrs = 0, 0
 	c.ElidedExperiments, c.ElidedSimInstrs = 0, 0
-	c.BatchedExperiments, c.BatchReplicasAvg = 0, 0
 	c.ResumedExperiments = 0
 	c.WALNotes = nil
 	raw, err := json.Marshal(&c)

@@ -144,14 +144,8 @@ type Metrics struct {
 	CleanInstrs  uint64 `json:"clean_instrs"`
 	FaultyInstrs uint64 `json:"faulty_instrs"`
 	// ElidedExperiments counts experiments the static masking tier resolved
-	// without simulation; BatchedExperiments counts experiments whose faulty
-	// suffix ran inside a lockstep batch replica, and BatchDispatches the
-	// dispatch groups behind them. BatchReplicasAvg is the mean batch width
-	// (BatchedExperiments / BatchDispatches), computed at read time.
-	ElidedExperiments  uint64  `json:"elided_experiments"`
-	BatchedExperiments uint64  `json:"batched_experiments"`
-	BatchDispatches    uint64  `json:"batch_dispatches"`
-	BatchReplicasAvg   float64 `json:"batch_replicas_avg"`
+	// without simulation.
+	ElidedExperiments uint64 `json:"elided_experiments"`
 
 	// StoreHits counts section instances resolved from the cache,
 	// StoreMisses those that had to be injected.
@@ -543,9 +537,6 @@ func (m *Manager) Metrics() Metrics {
 		}
 	}
 	mt.QueueDepth = mt.JobsQueued
-	if mt.BatchDispatches > 0 {
-		mt.BatchReplicasAvg = float64(mt.BatchedExperiments) / float64(mt.BatchDispatches)
-	}
 	mt.StoreBenches = len(m.stores)
 	for _, st := range m.stores {
 		mt.StoreSections += len(st.Sections)
@@ -736,8 +727,6 @@ func (m *Manager) runJob(j *job) {
 	m.counters.CleanInstrs += j.progress.CleanInstrs
 	m.counters.FaultyInstrs += j.progress.FaultyInstrs
 	m.counters.ElidedExperiments += uint64(j.progress.ElidedExperiments)
-	m.counters.BatchedExperiments += uint64(j.progress.BatchExperiments)
-	m.counters.BatchDispatches += uint64(j.progress.Batches)
 	m.counters.StoreHits += uint64(j.progress.Reused)
 	m.counters.StoreMisses += uint64(j.progress.Injected)
 	if r != nil {

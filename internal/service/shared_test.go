@@ -34,14 +34,12 @@ func neutralizeSummary(s *core.Summary) *core.Summary {
 	c.FFExperiments, c.FFSimInstrs, c.FFWall = 0, 0, 0
 	c.FFCleanInstrs, c.FFFaultyInstrs = 0, 0
 	c.ElidedExperiments, c.ElidedSimInstrs = 0, 0
-	c.BatchedExperiments, c.BatchReplicasAvg = 0, 0
 	c.ResumedExperiments = 0
 	c.WALNotes = nil
 	if s.Baseline != nil {
 		b := *s.Baseline
 		b.Wall = 0
 		b.CleanInstrs, b.FaultyInstrs = 0, 0
-		b.BatchedExperiments = 0
 		b.Speedup = 0
 		c.Baseline = &b
 	}

@@ -42,11 +42,9 @@ type Options struct {
 	WALDir string
 	Resume bool
 	// NoElide disables the static masking tier (every experiment is
-	// simulated); NoBatch disables lockstep batch replay (scalar forks).
-	// Both exist to measure the tiers' wins and to fall back if needed —
-	// outcomes are identical either way.
+	// simulated). It exists to measure the tier's win and to fall back if
+	// needed — outcomes are identical either way.
 	NoElide bool
-	NoBatch bool
 	// HardenTarget, when nonzero, closes the protection loop on every
 	// benchmark's original version: the knapsack selection for this target
 	// is applied as duplication-and-compare detectors, the hardened program
@@ -143,7 +141,6 @@ func RunSuite(opts Options) (*Suite, error) {
 		cfg.WALDir = opts.WALDir
 		cfg.Resume = opts.Resume
 		cfg.Elide = !opts.NoElide
-		cfg.NoBatch = opts.NoBatch
 		if inacc, ok := bench.PilotInaccuracies[name]; ok {
 			cfg.PilotInaccuracy = inacc
 		}
@@ -387,14 +384,12 @@ type PerfRecord struct {
 	FFCleanInstrs  uint64 `json:"ff_clean_instrs"`
 	FFFaultyInstrs uint64 `json:"ff_faulty_instrs"`
 	FFWallNs       int64  `json:"ff_wall_ns"`
-	// The elision tiers' contribution: experiments the masking tier proved
-	// Masked without simulation (and their accounted cost share), the
-	// simulated remainder, and how much of it ran inside lockstep batches.
+	// The elision tier's contribution: experiments the masking tier proved
+	// Masked without simulation (and their accounted cost share), and the
+	// simulated remainder.
 	FFElidedExperiments   int     `json:"ff_elided_experiments"`
 	FFElidedSimInstrs     uint64  `json:"ff_elided_sim_instrs"`
 	FFExecutedExperiments int     `json:"ff_executed_experiments"`
-	FFBatchedExperiments  int     `json:"ff_batched_experiments"`
-	FFBatchReplicasAvg    float64 `json:"ff_batch_replicas_avg"`
 	BaseExperims          int     `json:"base_experiments"`
 	BaseSimInstrs         uint64  `json:"base_sim_instrs"`
 	BaseCleanInstr        uint64  `json:"base_clean_instrs"`
@@ -432,16 +427,12 @@ func (s *Suite) PerfRecords() []PerfRecord {
 			FFElidedExperiments:   r.FFInject.ElidedExperiments,
 			FFElidedSimInstrs:     r.FFInject.ElidedInstrs,
 			FFExecutedExperiments: r.FFInject.Experiments - r.FFInject.ElidedExperiments,
-			FFBatchedExperiments:  r.FFInject.BatchExperiments,
 			BaseExperims:          r.BaseInject.Experiments,
 			BaseSimInstrs:         r.BaseCost(),
 			BaseCleanInstr:        r.BaseInject.CleanInstrs,
 			BaseFaultyInst:        r.BaseInject.FaultyInstrs,
 			BaseWallNs:            r.BaseWall.Nanoseconds(),
 			Speedup:               float64(r.BaseCost()) / float64(max(r.FFCost(), 1)),
-		}
-		if b := r.FFInject.Batches; b > 0 {
-			rec.FFBatchReplicasAvg = float64(r.FFInject.BatchExperiments) / float64(b)
 		}
 		if h := run.Harden; h != nil {
 			rec.HardenTarget = h.Target

@@ -130,8 +130,6 @@ func TestPerfRecordJSONRoundTrip(t *testing.T) {
 		FFElidedExperiments:   96,
 		FFElidedSimInstrs:     48000,
 		FFExecutedExperiments: 1952,
-		FFBatchedExperiments:  1800,
-		FFBatchReplicasAvg:    112.5,
 		BaseExperims:          4096,
 		BaseSimInstrs:         5000000,
 		BaseCleanInstr:        4000,
